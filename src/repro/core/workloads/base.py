@@ -189,25 +189,21 @@ class OccupancyPipeline:
     def __post_init__(self) -> None:
         bounds = self.map_bounds or self.sim.world.bounds
         self.octomap = OctoMap(resolution=self.resolution, bounds=bounds)
+        # In a shared-world fleet the other drones are dynamic obstacles:
+        # the enrolled sim's coordinator hands out this member's view of
+        # them, which both the clearance probes and the checker consult.
+        fleet = getattr(self.sim, "_fleet", None)
+        shared = None if fleet is None else fleet.shared
+        self.peers = None if shared is None else shared.view(self.sim)
         self.checker = CollisionChecker(
             octomap=self.octomap,
             drone_radius=self.sim.vehicle.params.radius_m,
+            peers=self.peers,
         )
         self._busy = False
         self._pending_cloud: Optional[PointCloud] = None
         self.updates_completed = 0
         self._resolution_scale = octomap_runtime_scale(self.resolution)
-        # Fleet-side perception accelerator (repro.fleet.pipeline), or
-        # None on the classic sequential path.  Installed by the fleet
-        # coordinator when the owning sim is enrolled in a fleet.
-        self._accel = None
-        # Shared-world registry (repro.fleet.shared_world): when set,
-        # other fleet members are sensed as dynamic obstacles by the
-        # clearance probes and the collision checker.
-        self._shared_world = None
-        fleet = getattr(self.sim, "_fleet", None)
-        if fleet is not None:
-            fleet.adopt_pipeline(self)
 
     # ------------------------------------------------------------------
     # Continuous mapping
@@ -278,13 +274,6 @@ class OccupancyPipeline:
             self.octomap = self.octomap.rebuilt_at_resolution(resolution)
         self.checker.octomap = self.octomap
         self._resolution_scale = octomap_runtime_scale(resolution)
-        if self._accel is not None:
-            # The accelerator wraps the (now replaced) octomap; re-adopt
-            # so its fast index and caches bind to the new map.
-            self._accel = None
-            fleet = getattr(self.sim, "_fleet", None)
-            if fleet is not None:
-                fleet.adopt_pipeline(self)
         return True
 
     # ------------------------------------------------------------------
@@ -303,8 +292,6 @@ class OccupancyPipeline:
     def allowed_velocity(self) -> float:
         """Eq.-2 bound at the pipeline's current response time, clamped to
         the airframe's mechanical limit."""
-        if self._accel is not None:
-            return self._accel.allowed_velocity()
         bound = max_velocity(self.response_time_s(), self.stop_distance_m)
         return min(bound, self.sim.vehicle.params.max_speed_ms)
 
@@ -318,24 +305,17 @@ class OccupancyPipeline:
         ``direction`` from the vehicle (ray-marched on the belief map).
 
         In a shared-world fleet the answer is additionally capped by the
-        distance to the nearest peer drone along the ray — applied *after*
-        the map answer (and outside the accelerator's version-keyed
-        cache: the map version doesn't change when peers move)."""
+        distance to the nearest peer drone along the ray."""
         clearance = self._map_clearance_along(direction, max_dist)
-        if self._shared_world is not None:
+        if self.peers is not None:
             clearance = min(
-                clearance,
-                self._shared_world.clearance_along(
-                    self.sim, direction, max_dist
-                ),
+                clearance, self.peers.clearance_along(direction, max_dist)
             )
         return clearance
 
     def _map_clearance_along(
         self, direction: np.ndarray, max_dist: float = 8.0
     ) -> float:
-        if self._accel is not None:
-            return self._accel.clearance_along(direction, max_dist)
         d = np.asarray(direction, dtype=float)
         speed = _vec_norm(d)
         if speed < 1e-6:

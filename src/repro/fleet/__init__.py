@@ -2,8 +2,7 @@
 
 Advance N missions per NumPy call: unchanged workload code runs per
 mission, but the per-tick phases (control, dynamics, sensing, energy)
-execute as struct-of-arrays kernels over the whole fleet, and each
-mission's perception pipeline gains fleet-only fast paths.  Bit-identical
+execute as struct-of-arrays kernels over the whole fleet.  Bit-identical
 to sequential execution by construction — see :mod:`repro.fleet.runner`.
 """
 
@@ -27,19 +26,23 @@ from .kernels import (
     sense_check_scalar,
     wrap_angles,
 )
-from .pipeline import FleetPerceptionAccel
 from .runner import (
     FleetCoordinator,
     FleetMission,
     fleet_gate_stats,
     run_workloads_fleet,
 )
-from .shared_world import SharedWorldPolicy, SharedWorldState, gate_conflicts
+from .shared_world import (
+    PeerView,
+    SharedWorldPolicy,
+    SharedWorldState,
+    gate_conflicts,
+)
 
 __all__ = [
     "FleetMission",
     "FleetCoordinator",
-    "FleetPerceptionAccel",
+    "PeerView",
     "SharedWorldPolicy",
     "SharedWorldState",
     "gate_conflicts",

@@ -12,9 +12,8 @@ Why threads rather than rewriting the workloads as coroutines: the
 mission scripts are ordinary imperative Python (``run_until`` loops,
 planning callbacks, mid-mission re-planning) and the thread stack *is*
 their continuation.  The GIL serializes execution — threads here are a
-control-flow device, not a parallelism device; the speedup comes from
-batched kernels and the fleet-side perception fast paths
-(:class:`~repro.fleet.pipeline.FleetPerceptionAccel`), not concurrency.
+control-flow device, not a parallelism device; any speedup comes from
+the batched kernels, not concurrency.
 
 Determinism: missions share no mutable state, each per-tick phase
 preserves its sequential per-mission math bit-for-bit, and planning
@@ -71,7 +70,6 @@ from .kernels import (
     energy_step_batch,
     sense_check_batch,
 )
-from .pipeline import FleetPerceptionAccel
 from .shared_world import SharedWorldPolicy, SharedWorldState, gate_conflicts
 
 __all__ = [
@@ -181,18 +179,6 @@ class FleetCoordinator:
                 self.shared.register(
                     sim, self._thread_members.get(ident, order)
                 )
-
-    def adopt_pipeline(self, pipeline) -> None:
-        """Install the perception fast paths on a fleet member's pipeline:
-        the clearance/Eq.-2 accelerator plus the shared free-space cache
-        on its collision checker (which the planners also query).  In a
-        shared world the pipeline and checker additionally start sensing
-        the other fleet members as exclusion bubbles."""
-        accel = FleetPerceptionAccel(pipeline)
-        pipeline._accel = accel
-        pipeline.checker._fleet_free = accel.free_space
-        if self.shared is not None:
-            self.shared.adopt(pipeline)
 
     def _member_label(self, sim) -> str:
         return self._labels.get(id(sim)) or f"m{self._order.get(id(sim), 0)}"

@@ -9,10 +9,11 @@ the other N-1 drones become dynamic obstacles it must sense and avoid.
 Three mechanisms, all deterministic:
 
 1. **Peer sensing** — each member's perception pipeline and collision
-   checker see the other drones' *current* positions as exclusion
-   bubbles (:meth:`SharedWorldState.adopt`).  Positions only change
-   inside the tick gate, and mission code runs only while every other
-   thread is parked, so a member always senses a consistent snapshot.
+   checker are built with a :class:`PeerView` (:meth:`SharedWorldState
+   .view`) and see the other drones' *current* positions as exclusion
+   bubbles.  Positions only change inside the tick gate, and mission
+   code runs only while every other thread is parked, so a member
+   always senses a consistent snapshot.
 2. **Conflict resolution** (:func:`gate_conflicts`) — a dedicated gate
    phase between control and dynamics computes all pairwise separations
    over the stacked fleet state and applies a priority-ordered
@@ -46,6 +47,7 @@ import numpy as np
 from .kernels import pairwise_separations, resolve_conflicts
 
 __all__ = [
+    "PeerView",
     "SharedWorldPolicy",
     "SharedWorldState",
     "gate_conflicts",
@@ -140,15 +142,11 @@ class SharedWorldState:
     # ------------------------------------------------------------------
     # Peer sensing (queried from mission threads between gates)
     # ------------------------------------------------------------------
-    def adopt(self, pipeline) -> None:
-        """Wire peer sensing into one member's perception stack: the
-        pipeline's clearance queries (safety filter, Eq.-2 velocity cap)
-        and its collision checker (all planners) both start seeing the
-        other drones."""
-        pipeline._shared_world = self
-        pipeline.checker._peer_block = _PeerBlock(
-            self, pipeline.sim, pipeline.checker.drone_radius
-        )
+    def view(self, sim) -> "PeerView":
+        """The peer-obstacle provider for one member's perception stack:
+        its pipeline's clearance probes (safety filter) and its collision
+        checker (all planners) see the other drones through it."""
+        return PeerView(self, sim)
 
     def peers_for(self, sim) -> Optional[np.ndarray]:
         """Stacked ``(P, 3)`` positions of the *other* airborne members
@@ -192,30 +190,37 @@ class SharedWorldState:
         return float(min(max(float(entry.min()), 0.0), max_dist))
 
 
-class _PeerBlock:
-    """Point-batch peer test installed on a member's collision checker.
+class PeerView:
+    """One member's view of the other drones in a shared airspace.
 
-    Callable ``(N, 3) points -> (N,) bool blocked-mask`` (or None when
-    no peers are airborne, which keeps the checker's sequential math —
-    and its batched/scalar twin identity — untouched).  Both
-    ``points_free`` and ``points_free_scalar`` call this same code, so
-    the twins keep agreeing with peers present.
+    Built once per member pipeline and passed to its
+    :class:`~repro.planning.collision.CollisionChecker`.  Both
+    ``points_free`` and ``points_free_scalar`` end in the same
+    :meth:`blocked` call, so the twins keep agreeing with peers present;
+    with an empty sky every query leaves the sequential math untouched.
     """
 
-    __slots__ = ("_state", "_sim", "_drone_radius")
+    __slots__ = ("_state", "_sim")
 
-    def __init__(self, state: SharedWorldState, sim, drone_radius: float):
+    def __init__(self, state: SharedWorldState, sim):
         self._state = state
         self._sim = sim
-        self._drone_radius = float(drone_radius)
 
-    def __call__(self, points: np.ndarray) -> Optional[np.ndarray]:
+    def blocked(
+        self, points: np.ndarray, drone_radius: float
+    ) -> Optional[np.ndarray]:
+        """``(N,)`` mask of the ``(N, 3)`` points inside a peer's bubble
+        (grown by ``drone_radius``), or None when no peer is airborne."""
         peers = self._state.peers_for(self._sim)
         if peers is None:
             return None
-        radius = self._state.policy.peer_radius_m + self._drone_radius
+        radius = self._state.policy.peer_radius_m + float(drone_radius)
         delta = points[:, None, :] - peers[None, :, :]
         return (np.sum(delta * delta, axis=2) <= radius * radius).any(axis=1)
+
+    def clearance_along(self, direction, max_dist: float = 8.0) -> float:
+        """Distance to the nearest peer bubble along ``direction``."""
+        return self._state.clearance_along(self._sim, direction, max_dist)
 
 
 # ----------------------------------------------------------------------

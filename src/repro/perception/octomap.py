@@ -114,22 +114,15 @@ class OctoMap:
         self._cells: Dict[VoxelKey, float] = {}
         self.insertions = 0
         self.rays_inserted = 0
-        # Sorted packed-key index over _cells, rebuilt lazily after writes.
-        # Updates arrive in scan-sized batches while box/point queries run
-        # every control tick, so an O(N) rebuild amortized across hundreds
-        # of O(log N) vectorized queries is the right trade.
-        self._index_dirty = True
+        # Sorted packed-key index over _cells, kept live across writes:
+        # batch log-odds updates merge their clamped values into it
+        # (_merge_index), so a scan costs an O(N) array merge rather than
+        # an O(N) dict->array rebuild.  Scalar writes (update_cell) mark
+        # it dirty; the next query rebuilds it once and merging resumes.
+        self._index_dirty = False
         self._idx_packed = np.zeros(0, dtype=np.int64)
         self._idx_values = np.zeros(0, dtype=np.float64)
         self._idx_occupied = np.zeros(0, dtype=np.int64)
-        # Opt-in incremental index maintenance (see enable_fast_index):
-        # batch writes merge into the sorted index instead of invalidating
-        # it.  Off by default so the lazily-rebuilt reference behavior (and
-        # its perf profile) stays exactly as shipped.
-        self._fast_index = False
-        #: Monotone write-generation counter: bumped on every mutation, so
-        #: callers can cache derived query results per map state.
-        self.version = 0
 
     # ------------------------------------------------------------------
     # Keys and coordinates
@@ -182,23 +175,7 @@ class OctoMap:
         value = min(max(value, LOG_ODDS_MIN), LOG_ODDS_MAX)
         self._cells[key] = value
         self._index_dirty = True
-        self.version += 1
         return value
-
-    def enable_fast_index(self) -> None:
-        """Switch to incremental sorted-index maintenance.
-
-        Batch log-odds updates merge their (already computed, clamped)
-        values straight into the sorted packed-key index instead of
-        invalidating it, turning the per-insert index cost from an O(N)
-        dict->array rebuild into an O(N) array merge with no Python-level
-        per-cell traffic.  Scalar writes (:meth:`update_cell`) still
-        invalidate; the next query falls back to one full rebuild and
-        incremental maintenance resumes after it.  Query results are
-        identical either way — only *when* the index is built changes.
-        """
-        self._fast_index = True
-        self._ensure_index()
 
     def _merge_index(self, packed: np.ndarray, values: np.ndarray) -> None:
         """Merge unique sorted ``packed`` keys with their new ``values``
@@ -272,7 +249,7 @@ class OctoMap:
         key_tuples = list(
             zip(keys[:, 0].tolist(), keys[:, 1].tolist(), keys[:, 2].tolist())
         )
-        if self._fast_index and not self._index_dirty:
+        if not self._index_dirty:
             current = self._values_for_sorted_packed(packed)
         else:
             current = np.fromiter(
@@ -283,8 +260,7 @@ class OctoMap:
         step = delta if counts is None else delta * counts
         new = np.clip(current + step, LOG_ODDS_MIN, LOG_ODDS_MAX)
         cells.update(zip(key_tuples, new.tolist()))
-        self.version += 1
-        if self._fast_index and not self._index_dirty:
+        if not self._index_dirty:
             # Keep the sorted index live: the clamped values are already
             # computed, so the merge is pure array work.
             if packed.size > 1 and not np.all(packed[1:] > packed[:-1]):
@@ -632,7 +608,7 @@ class OctoMap:
                 # a subsampled carve set would otherwise erode thin walls
                 # one miss-update per scan).
                 unpacked = unpack_keys(packed)
-                if self._fast_index and not self._index_dirty:
+                if not self._index_dirty:
                     existing = self._values_for_sorted_packed(packed)
                 else:
                     cells = self._cells
@@ -1001,6 +977,8 @@ class OctoMap:
             hit_update=self.hit_update,
             miss_update=self.miss_update,
         )
+        # Filled through _cells below, bypassing the live index.
+        other._index_dirty = True
         refining = resolution < self.resolution
 
         def carried(value: float) -> float:

@@ -62,19 +62,11 @@ class CollisionChecker:
     octomap: OctoMap
     drone_radius: float = 0.325
     treat_unknown_as_occupied: bool = False
-
-    #: Fleet-side free-space cache (repro.fleet.pipeline.FreeSpaceCache),
-    #: or None on the classic sequential path.  Installed per-instance by
-    #: the fleet coordinator; answers identically, just cheaper.
-    _fleet_free = None
-
-    #: Shared-world peer test (repro.fleet.shared_world._PeerBlock), or
-    #: None outside shared-airspace fleets.  Maps an (N, 3) point batch
-    #: to a blocked-mask (points inside another drone's exclusion
-    #: bubble), or None when no peers are airborne.  Applied by the one
-    #: shared tail both point paths call, so batched and scalar twins
-    #: keep agreeing with peers present.
-    _peer_block = None
+    #: Peer-obstacle provider (:class:`repro.fleet.shared_world.PeerView`)
+    #: in a shared-airspace fleet, else None.  ``peers.blocked(points,
+    #: radius)`` masks points inside another drone's exclusion bubble, or
+    #: returns None when no peer is airborne.
+    peers: Optional[object] = None
 
     # ------------------------------------------------------------------
     # Point queries
@@ -89,25 +81,12 @@ class CollisionChecker:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         _trace.observe("collision.batch_points", pts.shape[0])
         r = self.drone_radius
-        free_cache = self._fleet_free
-        if (
-            free_cache is not None
-            and pts.shape[0]
-            and not self.treat_unknown_as_occupied
-        ):
-            # The enclosing box of every inflated point box: proving it
-            # free of occupied voxels proves each point free (conservative
-            # unknown-mode also needs unknown fractions, so it opts out).
-            if free_cache.prove_free(pts.min(axis=0) - r, pts.max(axis=0) + r):
-                return self._apply_peer_block(
-                    pts, np.ones(pts.shape[0], dtype=bool)
-                )
         los = pts - r
         his = pts + r
         free = ~self.octomap.boxes_occupied(los, his)
         if self.treat_unknown_as_occupied and np.any(free):
             free &= ~(self.octomap.boxes_unknown_fraction(los, his) > 0.5)
-        return self._apply_peer_block(pts, free)
+        return self._apply_peers(pts, free)
 
     def points_free_scalar(self, points: np.ndarray) -> np.ndarray:
         """Reference scalar implementation of :meth:`points_free`: one
@@ -123,20 +102,18 @@ class CollisionChecker:
                     self.octomap.region_unknown_fraction_scalar(box) > 0.5
                 )
             out[i] = free
-        return self._apply_peer_block(pts, out)
+        return self._apply_peers(pts, out)
 
-    def _apply_peer_block(
-        self, pts: np.ndarray, free: np.ndarray
-    ) -> np.ndarray:
+    def _apply_peers(self, pts: np.ndarray, free: np.ndarray) -> np.ndarray:
         """Mask out points inside a fleet peer's exclusion bubble.
 
-        The identity tail of every point query — batched and scalar
-        alike — so shared-world fleets block on other drones through the
-        exact same test on both paths.  A no-op outside shared worlds
-        (``_peer_block`` is None) or with an empty sky.
+        The shared tail of every point query — batched and scalar alike —
+        so shared-world fleets block on other drones through the exact
+        same test on both paths.  A no-op without a peer provider or with
+        an empty sky.
         """
-        if self._peer_block is not None:
-            blocked = self._peer_block(pts)
+        if self.peers is not None:
+            blocked = self.peers.blocked(pts, self.drone_radius)
             if blocked is not None:
                 free = free & ~blocked
         return free

@@ -33,6 +33,8 @@ from repro.core.api import (
     run_workload,
     validate_workload_kwargs,
 )
+from repro.core.workloads import PackageDeliveryWorkload
+from repro.core.workloads.base import OccupancyPipeline
 from repro.fleet import (
     FleetCoordinator,
     FleetMission,
@@ -301,15 +303,9 @@ class TestPeerSensing:
         state, sims = _registered_fleet(
             [[0.0, 0.0, 3.0], [4.0, 0.0, 3.0]]
         )
-        checker = CollisionChecker(OctoMap(resolution=0.5))
-
-        class _Pipeline:
-            sim = sims[0]
-
-            def __init__(self, checker):
-                self.checker = checker
-
-        state.adopt(_Pipeline(checker))
+        checker = CollisionChecker(
+            OctoMap(resolution=0.5), peers=state.view(sims[0])
+        )
         points = np.array(
             [[4.0, 0.0, 3.0],  # on the peer
              [4.4, 0.0, 3.0],  # inside its bubble
@@ -321,17 +317,27 @@ class TestPeerSensing:
         assert np.array_equal(batched, scalar)
         assert list(batched) == [False, False, True, True]
 
+    def test_pipeline_built_with_peer_view(self):
+        """An enrolled sim's pipeline gets its coordinator's peer view and
+        hands the same provider to its collision checker."""
+        workload = PackageDeliveryWorkload(seed=1)
+        state = SharedWorldState()
+        coordinator = FleetCoordinator(expected=1, shared=state)
+        sim = make_simulation(workload, cores=4, frequency_ghz=2.2, seed=1)
+        coordinator.enroll(sim)
+        sim.vehicle.state.position = np.array([0.0, 0.0, 3.0])
+        state.register(_StubSim([4.0, 0.0, 3.0]), 1)
+        pipeline = OccupancyPipeline(sim)
+        assert pipeline.checker.peers is pipeline.peers is not None
+        # Empty map: only the peer 4 m ahead limits the clearance.
+        assert pipeline.clearance_along(np.array([1.0, 0.0, 0.0])) < 4.0
+        assert not pipeline.checker.point_free(np.array([4.0, 0.0, 3.0]))
+
     def test_checker_unchanged_without_peers(self):
         state, sims = _registered_fleet([[0.0, 0.0, 3.0]])
-        checker = CollisionChecker(OctoMap(resolution=0.5))
-
-        class _Pipeline:
-            sim = sims[0]
-
-            def __init__(self, checker):
-                self.checker = checker
-
-        state.adopt(_Pipeline(checker))
+        checker = CollisionChecker(
+            OctoMap(resolution=0.5), peers=state.view(sims[0])
+        )
         points = np.array([[4.0, 0.0, 3.0], [0.0, 0.0, 3.0]])
         assert np.all(checker.points_free(points))
 
