@@ -6,9 +6,8 @@ execute as struct-of-arrays kernels over the whole fleet.  Bit-identical
 to sequential execution by construction — see :mod:`repro.fleet.runner`.
 """
 
+from ..world.geometry import aabb_distances, batched_norms
 from .kernels import (
-    aabb_distances,
-    batched_norms,
     control_step_batch,
     control_step_scalar,
     dynamics_step_batch,

@@ -13,12 +13,11 @@ Bit-identity notes
 ------------------
 The sequential code computes Euclidean norms as
 ``float(np.linalg.norm(v))`` on a length-3 vector, which NumPy lowers to
-``sqrt(dot(v, v))`` — a BLAS dot.  Axis-wise reformulations
-(``np.sqrt(np.sum(v*v, axis=1))``, ``np.linalg.norm(..., axis=1)``,
-``einsum``) round differently in the last ulp on some BLAS builds.  The
-stacked matmul ``(V[:, None, :] @ V[:, :, None])`` dispatches to the
-*same* dot kernel per row, so :func:`batched_norms` is the one norm
-idiom every kernel here uses.  ``hypot``/``arctan2``/``fmod``/``clip``
+``sqrt(dot(v, v))`` — a BLAS dot.  Every kernel here takes its norms
+from :func:`repro.world.geometry.batched_norms`, which runs the same dot
+kernel per row, and its point-to-box distances from
+:func:`repro.world.geometry.aabb_distances`, the function
+``World.is_occupied`` uses.  ``hypot``/``arctan2``/``fmod``/``clip``
 are ufuncs and agree elementwise by construction.
 
 Branches (acceleration clamping, speed clamping, yaw hold, waypoint
@@ -35,13 +34,12 @@ import numpy as np
 
 from ..dynamics.flight_controller import FlightMode
 from ..dynamics.state import VehicleState
+from ..world.geometry import aabb_distances, batched_norms
 
 __all__ = [
-    "batched_norms",
     "wrap_angles",
     "flying_setpoints",
     "quadrotor_step_arrays",
-    "aabb_distances",
     "rotor_power_arrays",
     "FleetBatchArrays",
     "control_step_batch",
@@ -110,8 +108,9 @@ class FleetBatchArrays:
             counts = []
             self._static_refs = []
             for i, sim in enumerate(sims):
-                los, his = sim.world._static_boxes()
-                self._static_refs.append(sim.world._static_boxes_cache)
+                boxes = sim.world.static_boxes()
+                self._static_refs.append(boxes)
+                los, his = boxes
                 count = los.shape[0]
                 counts.append(count)
                 if count:
@@ -132,13 +131,13 @@ class FleetBatchArrays:
 
     def sense_fresh(self, sims: Sequence) -> bool:
         """True while the pre-flattened geometry still mirrors each
-        world (``World.add`` invalidates the per-world box cache this
-        holds references into; a mismatch sends the sense kernel down
-        the always-correct generic path)."""
+        world (``World.add`` makes ``static_boxes()`` return a new
+        tuple; a mismatch sends the sense kernel down the
+        always-correct generic path)."""
         if not self.sense_static:
             return False
         return all(
-            sim.world._static_boxes_cache is ref
+            sim.world.static_boxes() is ref
             for sim, ref in zip(sims, self._static_refs)
         )
 
@@ -146,19 +145,6 @@ class FleetBatchArrays:
 # ----------------------------------------------------------------------
 # Array primitives
 # ----------------------------------------------------------------------
-def batched_norms(arr: np.ndarray) -> np.ndarray:
-    """Per-row Euclidean norm of an ``(N, 3)`` array.
-
-    Bit-identical to ``float(np.linalg.norm(row))`` per row: the stacked
-    matmul runs the same BLAS dot kernel the 1-D ``np.linalg.norm`` path
-    uses (see module docstring).
-    """
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape[0] == 0:
-        return np.zeros(0)
-    return np.sqrt((arr[:, None, :] @ arr[:, :, None])[:, 0, 0])
-
-
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.world.geometry.wrap_angle` — (-pi, pi]."""
     wrapped = np.fmod(np.asarray(theta, dtype=float) + math.pi, 2.0 * math.pi)
@@ -333,18 +319,6 @@ def dynamics_step_batch(
 # ----------------------------------------------------------------------
 # Sense (Simulation._check_collision)
 # ----------------------------------------------------------------------
-def aabb_distances(
-    points: np.ndarray, los: np.ndarray, his: np.ndarray
-) -> np.ndarray:
-    """Distance from ``points[k]`` to the AABB ``(los[k], his[k])``.
-
-    The batched form of :meth:`repro.world.geometry.AABB.distance_to`:
-    clamp the point into the box, then the norm of the residual.
-    """
-    points = np.asarray(points, dtype=float)
-    return batched_norms(np.clip(points, los, his) - points)
-
-
 def sense_check_scalar(sim) -> None:
     """Scalar twin: the original per-sim ground-truth collision check."""
     sim._check_collision()

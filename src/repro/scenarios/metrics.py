@@ -20,7 +20,7 @@ is non-decreasing in requested difficulty for every registered family
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -55,15 +55,6 @@ class ScenarioMetrics:
         return row
 
 
-def _static_boxes(world: World) -> Tuple[np.ndarray, np.ndarray]:
-    statics = world.static_obstacles
-    if not statics:
-        return np.zeros((0, 3)), np.zeros((0, 3))
-    los = np.stack([o.box.lo for o in statics])
-    his = np.stack([o.box.hi for o in statics])
-    return los, his
-
-
 def free_space_clearances(
     world: World, z: float = 1.5, spacing: Optional[float] = None
 ) -> np.ndarray:
@@ -86,7 +77,7 @@ def free_space_clearances(
     )
     # Distance from every probe to every static AABB in one broadcast:
     # clamp the probe into the box, then measure the displacement.
-    los, his = _static_boxes(world)
+    los, his = world.static_boxes()
     if los.shape[0]:
         nearest = np.clip(points[:, None, :], los[None, :, :], his[None, :, :])
         dists = np.linalg.norm(points[:, None, :] - nearest, axis=2)

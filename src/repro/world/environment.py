@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import (
     AABB,
     Ray,
+    aabb_distances,
     batch_ray_aabbs,
     ray_aabb_intersection,
     segment_intersects_aabb,
@@ -45,14 +46,18 @@ class World:
 
     def __post_init__(self) -> None:
         self._static_boxes_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._dynamic_cache: Optional[
+            Tuple[List[DynamicObstacle], np.ndarray]
+        ] = None
 
     # ------------------------------------------------------------------
     # Obstacle management
     # ------------------------------------------------------------------
     def add(self, obstacle: Obstacle) -> None:
-        """Add an obstacle, invalidating the static geometry cache."""
+        """Add an obstacle, invalidating the geometry caches."""
         self.obstacles.append(obstacle)
         self._static_boxes_cache = None
+        self._dynamic_cache = None
 
     def extend(self, obstacles: Iterable[Obstacle]) -> None:
         for obs in obstacles:
@@ -77,8 +82,13 @@ class World:
     # ------------------------------------------------------------------
     # Geometry caches
     # ------------------------------------------------------------------
-    def _static_boxes(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked (lo, hi) corner arrays for all static obstacles."""
+    def static_boxes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked (lo, hi) corner arrays for all static obstacles.
+
+        Cached until the next :meth:`add`, which makes the next call
+        return a new tuple: holders of the arrays check freshness by
+        identity (``world.static_boxes() is held``).  Read-only.
+        """
         if self._static_boxes_cache is None:
             statics = self.static_obstacles
             if statics:
@@ -87,18 +97,38 @@ class World:
             else:
                 los = np.zeros((0, 3))
                 his = np.zeros((0, 3))
+            los.flags.writeable = False
+            his.flags.writeable = False
             self._static_boxes_cache = (los, his)
         return self._static_boxes_cache
 
+    def _dynamic_geometry(self) -> Tuple[List[DynamicObstacle], np.ndarray]:
+        """The dynamic obstacles and their stacked half sizes."""
+        if self._dynamic_cache is None:
+            dyn = self.dynamic_obstacles
+            halves = (
+                np.stack([o.box.size / 2.0 for o in dyn])
+                if dyn
+                else np.zeros((0, 3))
+            )
+            self._dynamic_cache = (dyn, halves)
+        return self._dynamic_cache
+
     def boxes_at(self, time: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) corner arrays for *all* obstacles at time ``time``."""
-        los, his = self._static_boxes()
-        dyn = self.dynamic_obstacles
+        """(lo, hi) corner arrays for *all* obstacles at time ``time``.
+
+        Static boxes come first, then each dynamic obstacle's box at
+        ``time`` — ``center ± size / 2``, the same arithmetic as
+        :meth:`DynamicObstacle.box_at`.
+        """
+        los, his = self.static_boxes()
+        dyn, halves = self._dynamic_geometry()
         if dyn:
-            dlos = np.stack([o.box_at(time).lo for o in dyn])
-            dhis = np.stack([o.box_at(time).hi for o in dyn])
-            los = np.vstack([los, dlos]) if los.size else dlos
-            his = np.vstack([his, dhis]) if his.size else dhis
+            centers = np.array([o.position_at(time) for o in dyn])
+            dlos = centers - halves
+            dhis = centers + halves
+            los = np.concatenate([los, dlos]) if los.size else dlos
+            his = np.concatenate([his, dhis]) if his.size else dhis
         return los, his
 
     # ------------------------------------------------------------------
@@ -110,12 +140,13 @@ class World:
     def is_occupied(
         self, point: np.ndarray, time: float = 0.0, margin: float = 0.0
     ) -> bool:
-        """True if ``point`` lies within ``margin`` of any obstacle."""
-        p = np.asarray(point, dtype=float)
-        for obs in self.obstacles:
-            if obs.box_at(time).distance_to(p) <= margin:
-                return True
-        return False
+        """True if ``point`` lies within ``margin`` of any obstacle.
+
+        One array query over :meth:`boxes_at`; every distance is
+        bit-identical to :meth:`AABB.distance_to`.
+        """
+        los, his = self.boxes_at(time)
+        return bool((aabb_distances(point, los, his) <= margin).any())
 
     def is_free(
         self, point: np.ndarray, time: float = 0.0, margin: float = 0.0
@@ -166,9 +197,23 @@ class World:
         max_range: float = 100.0,
         time: float = 0.0,
     ) -> np.ndarray:
-        """Vectorized multi-ray cast — the depth camera's inner loop."""
+        """Vectorized multi-ray cast — the depth camera's inner loop.
+
+        Only boxes within reach are tested.  A ray meets a box no
+        earlier than ``t = distance(origin, box) / |direction|``, so a
+        box farther than ``max_range`` times the longest direction can
+        only report a hit beyond ``max_range``, where the result is
+        clipped anyway: dropping it leaves every ray's distance
+        bit-identical to casting against all boxes (the relative slack
+        covers FP rounding).
+        """
         los, his = self.boxes_at(time)
-        return batch_ray_aabbs(origin, directions, los, his, max_range)
+        o = np.asarray(origin, dtype=float)
+        dirs = np.asarray(directions, dtype=float)
+        longest = np.sqrt(np.einsum("ij,ij->i", dirs, dirs).max(initial=0.0))
+        reach = max_range * longest * (1.0 + 1e-9)
+        near = aabb_distances(o, los, his) <= reach
+        return batch_ray_aabbs(o, dirs, los[near], his[near], max_range)
 
     def sample_free_point(
         self,

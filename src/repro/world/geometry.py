@@ -40,6 +40,37 @@ def norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def batched_norms(arr: np.ndarray) -> np.ndarray:
+    """Per-row Euclidean norm of an ``(N, 3)`` array.
+
+    Bit-identical to :func:`norm` per row.  Axis-wise reformulations
+    (``np.sqrt(np.sum(v*v, axis=1))``, ``np.linalg.norm(..., axis=1)``,
+    ``einsum``) round differently in the last ulp on some BLAS builds;
+    the stacked matmul ``(V[:, None, :] @ V[:, :, None])`` dispatches to
+    the *same* dot kernel per row, so every batched kernel that must
+    agree with a scalar twin takes its norms from here.
+    """
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape[0] == 0:
+        return np.zeros(0)
+    return np.sqrt((arr[:, None, :] @ arr[:, :, None])[:, 0, 0])
+
+
+def aabb_distances(
+    points: np.ndarray, los: np.ndarray, his: np.ndarray
+) -> np.ndarray:
+    """Distance from ``points[k]`` to the AABB ``(los[k], his[k])``.
+
+    The batched form of :meth:`AABB.distance_to`, bit-identical to it:
+    clamp the point into the box (``minimum(maximum(...))`` is how
+    ``np.clip`` is defined, minus its dispatch overhead), then the norm
+    of the residual.  A single ``(3,)`` point broadcasts against every
+    box.
+    """
+    points = np.asarray(points, dtype=float)
+    return batched_norms(np.minimum(np.maximum(points, los), his) - points)
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     """Return ``v`` normalized to unit length.
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.api import run_workload
 from repro.world import (
     AABB,
     DynamicObstacle,
+    Obstacle,
     Ray,
     World,
     add_moving_people,
@@ -22,6 +24,7 @@ from repro.world import (
     vec,
 )
 from repro.world.generator import ENVIRONMENTS
+from repro.world.geometry import batch_ray_aabbs
 
 
 class TestObstacles:
@@ -264,3 +267,252 @@ class TestGenerators:
         assert len(world.dynamic_obstacles) == 4
         for p in people:
             assert p.speed == 2.0
+
+
+# ----------------------------------------------------------------------
+# Ground-truth fast paths: each is pinned bit for bit to the plain
+# computation it replaces.
+# ----------------------------------------------------------------------
+def _random_world(seed, n_static=25, n_dynamic=4, extent=40.0):
+    """A seeded world of random boxes and patrolling people."""
+    rng = np.random.default_rng(seed)
+    world = empty_world((2 * extent, 2 * extent, 20.0), name=f"random-{seed}")
+    for _ in range(n_static):
+        center = rng.uniform(-extent, extent, size=3)
+        world.add(make_box_obstacle(center, rng.uniform(0.2, 6.0, size=3)))
+    for _ in range(n_dynamic):
+        waypoints = rng.uniform(-extent, extent, size=(3, 3))
+        world.add(make_person(
+            waypoints[0], waypoints=list(waypoints),
+            speed=float(rng.uniform(0.5, 3)),
+        ))
+    return world
+
+
+def _random_directions(rng, n):
+    dirs = rng.normal(size=(n, 3))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def _uncull(world, origin, dirs, max_range, time=0.0):
+    """The reference: every ray against every box at ``time``."""
+    return batch_ray_aabbs(origin, dirs, *world.boxes_at(time), max_range)
+
+
+def _assert_cast_matches(world, origin, dirs, max_range, time=0.0):
+    culled = world.ray_cast_many(origin, dirs, max_range=max_range, time=time)
+    reference = _uncull(world, origin, dirs, max_range, time)
+    assert np.array_equal(culled, reference)
+    return culled
+
+
+@pytest.fixture
+def tested_boxes(monkeypatch):
+    """The number of boxes each ray cast hands to the kernel."""
+    counts = []
+
+    def spy(origin, directions, los, his, max_range):
+        counts.append(los.shape[0])
+        return batch_ray_aabbs(origin, directions, los, his, max_range)
+
+    monkeypatch.setattr("repro.world.environment.batch_ray_aabbs", spy)
+    return counts
+
+
+AXES = np.vstack([np.eye(3), -np.eye(3)])
+
+
+class TestRangeCulledRayCast:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_worlds_match_uncull(self, seed):
+        world = _random_world(seed)
+        rng = np.random.default_rng(100 + seed)
+        dirs = _random_directions(rng, 400)
+        for _ in range(5):
+            origin = rng.uniform(-30, 30, size=3)
+            for max_range in (3.0, 20.0, 60.0):
+                _assert_cast_matches(world, origin, dirs, max_range)
+
+    def test_non_unit_directions_match_uncull(self):
+        world = _random_world(7)
+        rng = np.random.default_rng(7)
+        dirs = _random_directions(rng, 300) * rng.uniform(0.1, 3.0, (300, 1))
+        for origin in rng.uniform(-30, 30, size=(5, 3)):
+            _assert_cast_matches(world, origin, dirs, 15.0)
+
+    @pytest.mark.parametrize(
+        "face",
+        [20.0, np.nextafter(20.0, 0.0), np.nextafter(20.0, 40.0),
+         20.0 - 1e-12, 20.0 + 1e-12],
+    )
+    def test_box_at_the_range_boundary(self, face):
+        """A box whose near face sits at, a hair inside or a hair
+        outside ``max_range`` along +x — and one whose nearest corner
+        does, along the diagonal."""
+        max_range = 20.0
+        world = empty_world((100, 100, 100))
+        world.add(Obstacle(AABB(vec(face, -1, -1), vec(face + 2, 1, 1))))
+        corner = face / np.sqrt(3.0)
+        world.add(Obstacle(AABB(vec(corner, corner, corner) * -1 - 2,
+                                vec(corner, corner, corner) * -1)))
+        rng = np.random.default_rng(0)
+        diagonal = -np.ones(3) / np.sqrt(3.0)
+        dirs = np.vstack([
+            AXES, diagonal, _random_directions(rng, 200),
+            _random_directions(rng, 50) * 0.02 + [1.0, 0.0, 0.0],
+        ])
+        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        culled = _assert_cast_matches(world, vec(0, 0, 0), dirs, max_range)
+        assert culled[0] == min(face, max_range)
+
+    def test_origin_inside_a_box(self):
+        world = _random_world(3)
+        world.add(make_box_obstacle((1, 2, 3), (4, 4, 4)))
+        rng = np.random.default_rng(3)
+        dirs = _random_directions(rng, 200)
+        culled = _assert_cast_matches(world, vec(1.5, 2.5, 3.5), dirs, 20.0)
+        assert np.all(culled == 0.0)
+
+    def test_axis_parallel_rays(self):
+        """Axis-parallel rays, including origins on a box's slab planes
+        (the kernel's 0 * inf branch)."""
+        world = _random_world(4)
+        box = make_box_obstacle((5, 0, 2), (2, 2, 2))
+        world.add(box)
+        origins = [vec(0, 0, 2), vec(0, box.box.lo[1], 2),
+                   vec(0, 0, box.box.hi[2]), vec(-10, 3, 7)]
+        for origin in origins:
+            for max_range in (4.0, 5.0, 20.0):
+                _assert_cast_matches(world, origin, AXES, max_range)
+
+    @pytest.mark.parametrize("time", [0.0, 1.7, 5.0, 13.3, 250.0])
+    def test_dynamic_obstacles_at_several_times(self, time):
+        world = _random_world(5, n_static=10, n_dynamic=12, extent=15.0)
+        rng = np.random.default_rng(5)
+        dirs = _random_directions(rng, 300)
+        for origin in rng.uniform(-15, 15, size=(4, 3)):
+            _assert_cast_matches(world, origin, dirs, 10.0, time=time)
+
+    def test_empty_world(self):
+        dirs = _random_directions(np.random.default_rng(0), 50)
+        culled = _assert_cast_matches(empty_world(), vec(1, 2, 3), dirs, 20.0)
+        assert np.all(culled == 20.0)
+
+    def test_every_box_culled(self, tested_boxes):
+        world = _random_world(6, extent=40.0)
+        origin = vec(0, 0, 200)  # far above every box
+        dirs = _random_directions(np.random.default_rng(6), 100)
+        culled = _assert_cast_matches(world, origin, dirs, 20.0)
+        assert tested_boxes == [0]
+        assert np.all(culled == 20.0)
+
+
+def _loop_occupied(world, point, time, margin):
+    """The reference: one ``AABB.distance_to`` per obstacle."""
+    return any(
+        o.box_at(time).distance_to(point) <= margin for o in world.obstacles
+    )
+
+
+class TestArrayCrashCheck:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_points_match_loop(self, seed):
+        world = _random_world(seed, extent=15.0)
+        rng = np.random.default_rng(200 + seed)
+        hits = 0
+        for point in rng.uniform(-15, 15, size=(300, 3)):
+            for margin in (0.0, 0.325, 1.5):
+                expected = _loop_occupied(world, point, 2.0, margin)
+                assert world.is_occupied(point, 2.0, margin) == expected
+                hits += expected
+        assert hits > 0
+
+    def test_points_at_exactly_margin(self):
+        world = empty_world((40, 40, 20))
+        world.add(make_box_obstacle((0, 0, 2), (2, 2, 2)))
+        rng = np.random.default_rng(1)
+        for margin in (0.5, 0.325, 1.0):
+            # On an axis the distance is exact; off it, take the computed
+            # distance itself as the margin, then a hair less.
+            axis_point = vec(1.0 + margin, 0.0, 2.0)
+            assert world.is_occupied(axis_point, margin=margin)
+            for point in rng.uniform(-3, 3, size=(20, 3)) + [0, 0, 2]:
+                d = world.obstacles[0].box.distance_to(point)
+                for m in (d, np.nextafter(d, -1.0)):
+                    assert world.is_occupied(point, margin=m) == (
+                        _loop_occupied(world, point, 0.0, m)
+                    )
+
+    def test_points_inside_boxes(self):
+        world = _random_world(2, extent=15.0)
+        for obs in world.obstacles:
+            center = obs.box_at(4.0).center
+            assert world.is_occupied(center, time=4.0)
+            assert _loop_occupied(world, center, 4.0, 0.0)
+
+    @pytest.mark.parametrize("time", [0.0, 0.9, 7.5, 61.0])
+    def test_dynamic_obstacles(self, time):
+        world = _random_world(8, n_static=3, n_dynamic=15, extent=10.0)
+        rng = np.random.default_rng(8)
+        for point in rng.uniform(-10, 10, size=(200, 3)):
+            for margin in (0.0, 0.5):
+                assert world.is_occupied(point, time, margin) == (
+                    _loop_occupied(world, point, time, margin)
+                )
+
+    def test_empty_world(self):
+        world = empty_world()
+        assert not world.is_occupied(vec(0, 0, 1), margin=5.0)
+        assert not _loop_occupied(world, vec(0, 0, 1), 0.0, 5.0)
+
+    def test_add_invalidates(self):
+        world = _random_world(9, n_static=5, n_dynamic=1, extent=30.0)
+        point = vec(0.5, 0.5, 50.0)
+        assert not world.is_occupied(point)
+        world.add(make_box_obstacle((0, 0, 50), (2, 2, 2)))
+        assert world.is_occupied(point)
+        far = vec(-5.0, 5.0, 60.0)
+        assert not world.is_occupied(far, time=3.0)
+        world.add(make_person(far, waypoints=[far, far + 10], speed=1.0))
+        assert world.is_occupied(far, time=0.0)
+        assert _loop_occupied(world, far, 0.0, 0.0)
+
+
+class TestStackedObstacleArrays:
+    def test_boxes_at_matches_per_obstacle_boxes(self):
+        world = _random_world(10, n_dynamic=6)
+        for time in (0.0, 3.3, 40.0):
+            los, his = world.boxes_at(time)
+            ordered = world.static_obstacles + world.dynamic_obstacles
+            assert np.array_equal(los, [o.box_at(time).lo for o in ordered])
+            assert np.array_equal(his, [o.box_at(time).hi for o in ordered])
+
+    def test_static_boxes_identity_tracks_add(self):
+        world = _random_world(11, n_dynamic=0)
+        held = world.static_boxes()
+        assert world.static_boxes() is held
+        assert not held[0].flags.writeable
+        world.add(make_box_obstacle((0, 0, 1), (1, 1, 1)))
+        fresh = world.static_boxes()
+        assert fresh is not held
+        assert fresh[0].shape[0] == held[0].shape[0] + 1
+
+
+def test_disaster_mission_identical_with_uncull_ray_casts(
+    monkeypatch, tested_boxes
+):
+    """One search_rescue mission on the canonical disaster world (most
+    of its 33 boxes beyond camera range, unlike the golden worlds) flies
+    to the same QoF report with the range cull as with every box cast."""
+
+    def fly():
+        return run_workload("search_rescue", seed=6).report
+
+    culled = fly()
+    assert tested_boxes and np.mean(tested_boxes) < 33 / 2
+
+    def uncull(self, origin, directions, max_range=100.0, time=0.0):
+        return _uncull(self, origin, directions, max_range, time)
+
+    monkeypatch.setattr(World, "ray_cast_many", uncull)
+    assert fly() == culled
